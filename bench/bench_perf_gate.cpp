@@ -256,10 +256,10 @@ PerfEntry time_fleet_sim(std::size_t iters, iprune::fleet::SimKind sim,
                          const std::string& name) {
   // Small fixed heterogeneous fleet on a 1-lane pool: times the whole
   // orchestrator path (spec resolution, device construction, inference,
-  // aggregation) without scheduler noise. The checksum is the fleet
+  // aggregation) without thread-scheduling noise. The checksum is the fleet
   // digest, so numeric drift anywhere in the device stack trips the gate.
-  // Timed per sim kind; all kinds must produce the identical digest, so
-  // the three entries' checksums double as a cross-mode equivalence gate.
+  // Timed per sim kind; both kinds must produce the identical digest, so
+  // the two entries' checksums double as a cross-mode equivalence gate.
   iprune::fleet::FleetSpec spec = iprune::fleet::FleetSpec::example(16);
   spec.inferences = 2;
   spec.sim = sim;
@@ -293,19 +293,15 @@ PerfReport run_all() {
   report.add(time_sensitivity_sweep(5));
   report.add(
       time_fleet_sim(5, iprune::fleet::SimKind::kStepping, "fleet_sim_16"));
-  report.add(time_fleet_sim(5, iprune::fleet::SimKind::kScheduler,
-                            "fleet_sim_16_scheduler"));
   report.add(time_fleet_sim(5, iprune::fleet::SimKind::kBatched,
                             "fleet_sim_16_batched"));
   const PerfEntry* stepping = report.find("fleet_sim_16");
-  for (const char* mode : {"fleet_sim_16_scheduler", "fleet_sim_16_batched"}) {
-    const PerfEntry* entry = report.find(mode);
-    if (stepping != nullptr && entry != nullptr &&
-        entry->checksum != stepping->checksum) {
-      throw std::runtime_error(std::string(mode) +
-                               ": fleet digest diverged from the stepping "
-                               "oracle — sim modes are no longer bit-identical");
-    }
+  const PerfEntry* batched = report.find("fleet_sim_16_batched");
+  if (stepping != nullptr && batched != nullptr &&
+      batched->checksum != stepping->checksum) {
+    throw std::runtime_error(
+        "fleet_sim_16_batched: fleet digest diverged from the stepping "
+        "oracle — sim modes are no longer bit-identical");
   }
 
   const PerfEntry* opt = report.find("gemm_dense_64");

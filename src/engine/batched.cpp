@@ -332,11 +332,6 @@ void BatchedEngine::stage_progress(device::WriteBatch& batch) const {
   batch.push_u32(progress_addr_, job_counter_ + 1);
 }
 
-void BatchedEngine::note_commit() {
-  ++job_counter_;
-  leader_.on_commit_boundary();
-}
-
 bool BatchedEngine::recover_progress() {
   if (!leader_.dma_read(8)) {  // progress indicator re-read
     return false;
@@ -443,7 +438,7 @@ bool BatchedEngine::run_gemm_immediate(const LoweredNode& ln) {
             ++done;
             ++active_stats_->acc_outputs;
             ++active_stats_->preserved_outputs;
-            note_commit();
+            ++job_counter_;
           }
           if (!failed) {
             break;
@@ -569,7 +564,7 @@ bool BatchedEngine::run_gemm_immediate(const LoweredNode& ln) {
             ++active_stats_->acc_outputs;
             ++active_stats_->preserved_outputs;
             active_stats_->macs += bk_actual;
-            note_commit();
+            ++job_counter_;
           }
           if (!failed) {
             break;
@@ -649,7 +644,7 @@ bool BatchedEngine::run_gemm_task(const LoweredNode& ln) {
             active_stats_->reexecuted_jobs += jobs;
             continue;
           }
-          note_commit();
+          ++job_counter_;
           active_stats_->acc_outputs += jobs;
           active_stats_->preserved_outputs += jobs;
           break;
@@ -781,7 +776,7 @@ bool BatchedEngine::run_gemm_task(const LoweredNode& ln) {
             active_stats_->reexecuted_jobs += jobs;
             continue;
           }
-          note_commit();
+          ++job_counter_;
           active_stats_->acc_outputs += jobs;
           active_stats_->preserved_outputs += jobs;
           active_stats_->macs += jobs * bk_actual;
@@ -982,7 +977,7 @@ bool BatchedEngine::run_pool(const LoweredNode& ln) {
             }
             ++done;
             ++active_stats_->preserved_outputs;
-            note_commit();
+            ++job_counter_;
           }
           if (!failed) {
             break;
@@ -1017,7 +1012,7 @@ bool BatchedEngine::run_pool(const LoweredNode& ln) {
           }
           done = out_w;
           active_stats_->preserved_outputs += out_w;
-          note_commit();
+          ++job_counter_;
         } else {
           if (!leader_.cpu_work(out_w * cycles_per_job) ||
               !leader_.dma_write(out_w * 2)) {
@@ -1120,7 +1115,7 @@ bool BatchedEngine::run_copy(const LoweredNode& ln) {
         }
         ++active_stats_->preserved_outputs;
         if (immediate) {
-          note_commit();
+          ++job_counter_;
         }
         committed = true;
       }

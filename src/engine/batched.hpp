@@ -107,7 +107,6 @@ class BatchedEngine {
   /// Classic (unprotected) progress machinery — the only kind inside the
   /// lockstep envelope.
   void stage_progress(device::WriteBatch& batch) const;
-  void note_commit();
   [[nodiscard]] bool recover_progress();
 
   std::vector<BatchedMember> members_;

@@ -44,9 +44,6 @@ struct MemberStack {
     samples = fault::make_batch(rng, graph, spec.inferences);
     device = std::make_unique<device::Msp430Device>(spec.backend.device,
                                                     spec.power.make());
-    // Same as DeviceSim under sim!=stepping: the scheduler path carries
-    // even the deployment writes (bit-identical, fewer virtual calls).
-    device->set_sim_mode(power::SimMode::kScheduler);
     engine::EngineConfig config;
     config.mode = spec.mode;  // eligibility guarantees write/read_ber == 0
     model = std::make_unique<engine::DeployedModel>(graph, config, *device,

@@ -94,8 +94,6 @@ const char* sim_kind_name(SimKind kind) {
   switch (kind) {
     case SimKind::kStepping:
       return "stepping";
-    case SimKind::kScheduler:
-      return "scheduler";
     case SimKind::kBatched:
       return "batched";
   }
@@ -106,11 +104,12 @@ SimKind parse_sim_kind(const std::string& name) {
   if (name == "stepping") {
     return SimKind::kStepping;
   }
-  if (name == "scheduler") {
-    return SimKind::kScheduler;
-  }
   if (name == "batched") {
     return SimKind::kBatched;
+  }
+  if (name == "scheduler") {
+    throw std::invalid_argument(
+        "fleet spec: sim 'scheduler' was removed; use stepping | batched");
   }
   throw std::invalid_argument("fleet spec: unknown sim '" + name + "'");
 }
@@ -614,7 +613,6 @@ std::vector<DeviceSpec> FleetSpec::resolve() const {
       d.deadline_s = deadline_s;
       d.event_budget = event_budget;
       d.telemetry = telemetry;
-      d.sim = sim;
       devices.push_back(std::move(d));
     }
   }

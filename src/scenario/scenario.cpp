@@ -32,6 +32,9 @@ bool valid_name(const std::string& name) {
 }
 
 fleet::SimKind parse_sim(const std::string& name) {
+  if (name == "scheduler") {
+    scenario_error("sim \"scheduler\" was removed; use stepping | batched");
+  }
   try {
     return fleet::parse_sim_kind(name);
   } catch (const std::invalid_argument&) {
@@ -209,8 +212,7 @@ std::vector<fleet::SimKind> Scenario::effective_sims() const {
   if (!sims.empty()) {
     return sims;
   }
-  return {fleet::SimKind::kStepping, fleet::SimKind::kScheduler,
-          fleet::SimKind::kBatched};
+  return {fleet::SimKind::kStepping, fleet::SimKind::kBatched};
 }
 
 std::vector<Check> Scenario::effective_checks() const {

@@ -27,7 +27,15 @@ void EvalCache::insert(const EvalKey& key, const EvalValue& value) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] = entries_.emplace(key, value);
   if (!inserted) {
-    return;  // racing duplicate: keep the first result (they are identical)
+    // Racing duplicate: two lanes missed on the same key and the other
+    // stored first (the results are identical; keep the first). In the
+    // equivalent serial run this lane's lookup would have hit, so count
+    // it that way: the stats must not depend on thread timing.
+    if (stats_.misses > 0) {
+      --stats_.misses;
+      ++stats_.hits;
+    }
+    return;
   }
   ++stats_.inserts;
   if (vault_ != nullptr) {

@@ -70,8 +70,9 @@ class EvalCache {
   /// Counts a hit or a miss.
   [[nodiscard]] std::optional<EvalValue> lookup(const EvalKey& key);
 
-  /// Insert (first writer wins on a racing duplicate) and write through to
-  /// the vault if attached.
+  /// Insert (first writer wins on a racing duplicate, whose earlier miss is
+  /// recounted as a hit so the stats match the serial run) and write
+  /// through to the vault if attached.
   void insert(const EvalKey& key, const EvalValue& value);
 
   [[nodiscard]] CacheStats stats() const;

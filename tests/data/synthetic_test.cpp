@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace iprune::data {
 namespace {
@@ -13,6 +14,11 @@ struct GeneratorCase {
   nn::Shape sample_shape;
   std::size_t classes;
 };
+
+// Print the case by name: gtest's default byte dump would embed the
+// name/function/heap pointers, so discovered test names would change with
+// every build and every process.
+void PrintTo(const GeneratorCase& c, std::ostream* os) { *os << c.name; }
 
 class SyntheticGenerators : public ::testing::TestWithParam<GeneratorCase> {};
 

@@ -1,12 +1,14 @@
-// Batched lockstep fleet mode: for every sim kind (stepping oracle,
-// event-driven scheduler, batched cohorts) a fleet produces bit-identical
-// results — per-device and fleet-wide — across lane counts. The batched
+// Batched lockstep fleet mode: under both sim kinds (stepping oracle,
+// batched cohorts) a fleet produces bit-identical results — per-device
+// and fleet-wide — across lane counts. The batched
 // mode is pure wall-clock optimisation; these tests are its correctness
 // gate.
 
 #include <gtest/gtest.h>
 
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fleet/batched_sim.hpp"
@@ -80,13 +82,35 @@ TEST(FleetBatched, SimKindRoundTripsThroughSpecText) {
   spec.sim = SimKind::kBatched;
   EXPECT_NE(spec.describe().find(" sim=batched"), std::string::npos);
   EXPECT_EQ(FleetSpec::parse(spec.describe()), spec);
-  spec.sim = SimKind::kScheduler;
-  EXPECT_EQ(FleetSpec::parse(spec.describe()), spec);
 
   EXPECT_THROW(parse_sim_kind("warp"), std::invalid_argument);
-  for (const SimKind kind :
-       {SimKind::kStepping, SimKind::kScheduler, SimKind::kBatched}) {
+  for (const SimKind kind : {SimKind::kStepping, SimKind::kBatched}) {
     EXPECT_EQ(parse_sim_kind(sim_kind_name(kind)), kind);
+  }
+}
+
+std::string rejection(const std::string& text) {
+  try {
+    (void)FleetSpec::parse(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The discrete-event scheduler sim was removed; its token must fail loudly
+// with a pointer to the surviving modes, never alias to one of them.
+TEST(FleetBatched, RemovedSchedulerSimIsRejected) {
+  const std::string removed =
+      "fleet spec: sim 'scheduler' was removed; use stepping | batched";
+  EXPECT_EQ(rejection("fleet: seed=1 sim=scheduler\n"
+                      "group: name=a count=1\n"),
+            removed);
+  try {
+    (void)parse_sim_kind("scheduler");
+    ADD_FAILURE() << "sim 'scheduler' was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), removed);
   }
 }
 
@@ -97,19 +121,17 @@ TEST(FleetBatched, PerDeviceResultsIdenticalAcrossSimKinds) {
       .run(&serial, &stepping);
   ASSERT_EQ(stepping.devices.size(), 64u);
 
-  for (const SimKind sim : {SimKind::kScheduler, SimKind::kBatched}) {
-    CaptureGateway capture;
-    const FleetResult result =
-        FleetOrchestrator(test_spec(sim)).run(&serial, &capture);
-    ASSERT_EQ(capture.devices.size(), stepping.devices.size());
-    for (std::size_t i = 0; i < capture.devices.size(); ++i) {
-      expect_identical(capture.devices[i], stepping.devices[i]);
-    }
-    // And the digest, which CI compares across whole runs.
-    const FleetResult oracle =
-        FleetOrchestrator(test_spec(SimKind::kStepping)).run(&serial);
-    EXPECT_EQ(result.checksum, oracle.checksum);
+  CaptureGateway capture;
+  const FleetResult result =
+      FleetOrchestrator(test_spec(SimKind::kBatched)).run(&serial, &capture);
+  ASSERT_EQ(capture.devices.size(), stepping.devices.size());
+  for (std::size_t i = 0; i < capture.devices.size(); ++i) {
+    expect_identical(capture.devices[i], stepping.devices[i]);
   }
+  // And the digest, which CI compares across whole runs.
+  const FleetResult oracle =
+      FleetOrchestrator(test_spec(SimKind::kStepping)).run(&serial);
+  EXPECT_EQ(result.checksum, oracle.checksum);
 }
 
 TEST(FleetBatched, ChecksumStableAcrossLaneCounts) {

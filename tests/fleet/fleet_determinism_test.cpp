@@ -5,11 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "fleet/orchestrator.hpp"
+#include "support/test_dir.hpp"
 
 namespace iprune::fleet {
 namespace {
@@ -99,10 +99,9 @@ TEST(FleetDeterminism, GatewayFilesByteIdenticalAcrossLaneCounts) {
   std::string devices_csv;
   std::string summary_csv;
   std::string prom;
+  const test::TestDir tmp;
   for (const std::size_t lanes : {1u, 4u}) {
-    const std::string dir = testing::TempDir() + "/fleet_gw_" +
-                            std::to_string(lanes);
-    std::filesystem::remove_all(dir);
+    const std::string dir = tmp.file("fleet_gw_" + std::to_string(lanes));
     MultiGateway gateway;
     gateway.add_owned(std::make_unique<CsvGateway>(dir));
     gateway.add_owned(

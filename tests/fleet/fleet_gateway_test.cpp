@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "fleet/orchestrator.hpp"
+#include "support/test_dir.hpp"
 
 namespace iprune::fleet {
 namespace {
@@ -45,9 +45,8 @@ std::size_t count_cells(const std::string& csv_line) {
 }
 
 TEST(CsvGatewayTest, WritesOneRowPerDeviceAndPerScope) {
-  const std::string dir = testing::TempDir() + "/fleet_csv_test";
-  std::filesystem::remove_all(dir);
-  CsvGateway gateway(dir);
+  const test::TestDir tmp;
+  CsvGateway gateway(tmp.file("fleet_csv_test"));
   const FleetResult result = small_fleet(10, &gateway);
 
   const std::vector<std::string> devices = read_lines(gateway.devices_path());
@@ -142,9 +141,8 @@ TEST(PrometheusGatewayTest, RenderFollowsExpositionFormat) {
   EXPECT_EQ(previous, count_value);
 
   // on_fleet writes exactly render()'s text.
-  const std::string path =
-      testing::TempDir() + "/fleet_prom_test/metrics.prom";
-  std::filesystem::remove_all(testing::TempDir() + "/fleet_prom_test");
+  const test::TestDir tmp;
+  const std::string path = tmp.file("fleet_prom_test/metrics.prom");
   PrometheusGateway gateway(path);
   gateway.on_fleet(result);
   std::ifstream in(path, std::ios::binary);

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -13,11 +12,10 @@
 #include "fleet/spec.hpp"
 #include "power/supply.hpp"
 #include "scenario/scenario.hpp"
+#include "support/test_dir.hpp"
 
 namespace iprune::fleet {
 namespace {
-
-namespace fs = std::filesystem;
 
 void expect_invalid(const PowerProfile& profile, const std::string& message) {
   try {
@@ -83,14 +81,8 @@ TEST(TraceProfile, ParseRejectsMissingPieces) {
 }
 
 struct TraceProfileFiles : ::testing::Test {
-  std::string dir;
-
-  void SetUp() override {
-    dir = ::testing::TempDir() + "/trace_profile_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
-  void TearDown() override { fs::remove_all(dir); }
+  test::TestDir tmp;
+  std::string dir = tmp.path();
 
   std::string write_trace() {
     const std::string path = dir + "/harvest.csv";

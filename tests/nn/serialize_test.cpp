@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <memory>
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
+#include "support/test_dir.hpp"
 
 namespace iprune::nn {
 namespace {
@@ -22,11 +22,14 @@ Graph make_graph(std::uint64_t seed) {
   return g;
 }
 
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
-}
+struct Serialize : ::testing::Test {
+  test::TestDir tmp;
+  [[nodiscard]] std::string temp_path(const char* name) const {
+    return tmp.file(name);
+  }
+};
 
-TEST(Serialize, RoundTripsValuesAndMasks) {
+TEST_F(Serialize, RoundTripsValuesAndMasks) {
   Graph a = make_graph(1);
   auto& fc1 = dynamic_cast<Dense&>(a.layer(1));
   fc1.weight_mask().at(1, 2) = 0.0f;
@@ -47,10 +50,9 @@ TEST(Serialize, RoundTripsValuesAndMasks) {
       EXPECT_TRUE(pa[i].mask->equals(*pb[i].mask));
     }
   }
-  std::remove(path.c_str());
 }
 
-TEST(Serialize, LoadedGraphProducesIdenticalOutput) {
+TEST_F(Serialize, LoadedGraphProducesIdenticalOutput) {
   Graph a = make_graph(3);
   const std::string path = temp_path("output_check.bin");
   ASSERT_TRUE(save_parameters(a, path));
@@ -59,15 +61,14 @@ TEST(Serialize, LoadedGraphProducesIdenticalOutput) {
 
   Tensor x({2, 3}, {1, 2, 3, 4, 5, 6});
   EXPECT_TRUE(a.forward(x).equals(b.forward(x)));
-  std::remove(path.c_str());
 }
 
-TEST(Serialize, MissingFileFails) {
+TEST_F(Serialize, MissingFileFails) {
   Graph g = make_graph(5);
   EXPECT_FALSE(load_parameters(g, temp_path("does_not_exist.bin")));
 }
 
-TEST(Serialize, StructuralMismatchFails) {
+TEST_F(Serialize, StructuralMismatchFails) {
   Graph a = make_graph(6);
   const std::string path = temp_path("mismatch.bin");
   ASSERT_TRUE(save_parameters(a, path));
@@ -78,10 +79,9 @@ TEST(Serialize, StructuralMismatchFails) {
                           {different.input()});
   different.set_output(fc);
   EXPECT_FALSE(load_parameters(different, path));
-  std::remove(path.c_str());
 }
 
-TEST(Serialize, CorruptMagicFails) {
+TEST_F(Serialize, CorruptMagicFails) {
   const std::string path = temp_path("corrupt.bin");
   {
     std::ofstream out(path, std::ios::binary);
@@ -89,10 +89,9 @@ TEST(Serialize, CorruptMagicFails) {
   }
   Graph g = make_graph(8);
   EXPECT_FALSE(load_parameters(g, path));
-  std::remove(path.c_str());
 }
 
-TEST(Serialize, SaveToBadPathFails) {
+TEST_F(Serialize, SaveToBadPathFails) {
   Graph g = make_graph(9);
   EXPECT_FALSE(save_parameters(g, "/nonexistent-dir-xyz/params.bin"));
 }

@@ -1,10 +1,10 @@
 // Analytic harvest models (RF, kinetic, indoor-solar, diurnal). The
-// scheduler's fast path caches segment() and skips per-event power_w()
-// calls, so the contract under test is bit-exactness: within a segment,
-// every power_w(t) equals the cached segment power to the last ulp, and
-// the step-by-step oracle (dense power_w sampling) integrates to the same
-// energy as walking segments. Any epsilon here would split the stepping
-// and scheduler sims' digests.
+// recharge loop caches segment() and skips per-step power_w() calls, so
+// the contract under test is bit-exactness: within a segment, every
+// power_w(t) equals the cached segment power to the last ulp, and the
+// step-by-step oracle (dense power_w sampling) integrates to the same
+// energy as walking segments. Any epsilon here would move every recharge
+// time and with it every pinned digest.
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -8,6 +7,7 @@
 #include "power/energy_buffer.hpp"
 #include "power/manager.hpp"
 #include "power/supply.hpp"
+#include "support/test_dir.hpp"
 
 namespace iprune::power {
 namespace {
@@ -54,7 +54,8 @@ TEST(Supply, SolarDayPeaksMidday) {
 }
 
 TEST(Supply, FromCsvParsesMilliwattsAndComments) {
-  const std::string path = ::testing::TempDir() + "trace.csv";
+  const test::TestDir tmp;
+  const std::string path = tmp.file("trace.csv");
   {
     std::ofstream out(path);
     out << "# solar trace, mW\n5.0\n 2.5 # midday dip\n\n10\n";
@@ -63,43 +64,42 @@ TEST(Supply, FromCsvParsesMilliwattsAndComments) {
   EXPECT_DOUBLE_EQ(trace.power_w(0.5), 5.0e-3);
   EXPECT_DOUBLE_EQ(trace.power_w(1.5), 2.5e-3);
   EXPECT_DOUBLE_EQ(trace.power_w(2.5), 10.0e-3);
-  std::remove(path.c_str());
 }
 
 TEST(Supply, FromCsvRejectsMissingAndEmptyFiles) {
+  const test::TestDir tmp;
   EXPECT_THROW(TraceSupply::from_csv("/no/such/file.csv", 1.0),
                std::runtime_error);
-  const std::string path = ::testing::TempDir() + "empty_trace.csv";
+  const std::string path = tmp.file("empty_trace.csv");
   {
     std::ofstream out(path);
     out << "# only comments\n";
   }
   EXPECT_THROW(TraceSupply::from_csv(path, 1.0), std::runtime_error);
-  std::remove(path.c_str());
 }
 
 TEST(Supply, FromCsvRejectsNegativeSamples) {
-  const std::string path = ::testing::TempDir() + "neg_trace.csv";
+  const test::TestDir tmp;
+  const std::string path = tmp.file("neg_trace.csv");
   {
     std::ofstream out(path);
     out << "5\n-1\n";
   }
   EXPECT_THROW(TraceSupply::from_csv(path, 1.0), std::runtime_error);
-  std::remove(path.c_str());
 }
 
 TEST(Supply, FromCsvRejectsNonFiniteSamples) {
   // operator>> accepts "nan"/"inf" spellings, and NaN slips past any
   // `< 0` comparison — from_csv must reject them explicitly.
+  const test::TestDir tmp;
   for (const char* bad : {"5\nnan\n", "5\ninf\n", "5\n-inf\n"}) {
-    const std::string path = ::testing::TempDir() + "nonfinite_trace.csv";
+    const std::string path = tmp.file("nonfinite_trace.csv");
     {
       std::ofstream out(path);
       out << bad;
     }
     EXPECT_THROW(TraceSupply::from_csv(path, 1.0), std::runtime_error)
         << bad;
-    std::remove(path.c_str());
   }
   EXPECT_THROW(
       TraceSupply({std::numeric_limits<double>::quiet_NaN()}, 1.0),
@@ -109,7 +109,8 @@ TEST(Supply, FromCsvRejectsNonFiniteSamples) {
 }
 
 TEST(Supply, FromCsvErrorNamesOffendingLine) {
-  const std::string path = ::testing::TempDir() + "bad_line_trace.csv";
+  const test::TestDir tmp;
+  const std::string path = tmp.file("bad_line_trace.csv");
   {
     std::ofstream out(path);
     out << "# header comment\n5\n\nnan\n";
@@ -121,23 +122,22 @@ TEST(Supply, FromCsvErrorNamesOffendingLine) {
     EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
         << e.what();
   }
-  std::remove(path.c_str());
 }
 
 TEST(Supply, FromCsvHandlesCommentOnlyAndTrailingNewlineFiles) {
   // A comment-only file has no samples: clear error, not a bogus supply.
-  const std::string empty_path = ::testing::TempDir() + "comment_trace.csv";
+  const test::TestDir tmp;
+  const std::string empty_path = tmp.file("comment_trace.csv");
   {
     std::ofstream out(empty_path);
     out << "# a\n# b\n\n   \n";
   }
   EXPECT_THROW(TraceSupply::from_csv(empty_path, 1.0), std::runtime_error);
-  std::remove(empty_path.c_str());
 
   // Trailing newlines (and a final line without one) must not add
   // phantom samples or drop the last real one.
   for (const char* body : {"5\n7\n", "5\n7", "5\n7\n\n\n"}) {
-    const std::string path = ::testing::TempDir() + "newline_trace.csv";
+    const std::string path = tmp.file("newline_trace.csv");
     {
       std::ofstream out(path);
       out << body;
@@ -146,7 +146,6 @@ TEST(Supply, FromCsvHandlesCommentOnlyAndTrailingNewlineFiles) {
     EXPECT_DOUBLE_EQ(trace.power_w(0.5), 5.0e-3) << body;
     EXPECT_DOUBLE_EQ(trace.power_w(1.5), 7.0e-3) << body;
     EXPECT_DOUBLE_EQ(trace.power_w(2.5), 5.0e-3) << body;  // wraps: 2 samples
-    std::remove(path.c_str());
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -45,6 +46,10 @@ std::string read_file(const std::string& path) {
   out << file.rdbuf();
   return out.str();
 }
+
+// Print the golden by file name rather than as raw bytes, which would
+// embed the string-literal address and make test names vary per build.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.file; }
 
 class ScenarioGolden : public ::testing::TestWithParam<Golden> {};
 

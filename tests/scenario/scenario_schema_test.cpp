@@ -123,13 +123,22 @@ TEST(ScenarioSchema, LeafDslErrorsPropagateVerbatim) {
                 "OutageSchedule::parse: period must be >= 1 in \"every:0\"");
 }
 
-TEST(ScenarioSchema, EffectiveSimsDefaultsToAllThree) {
+TEST(ScenarioSchema, EffectiveSimsDefaultsToBoth) {
   const Scenario sc = Scenario::parse(minimal());
   const auto sims = sc.effective_sims();
-  ASSERT_EQ(sims.size(), 3u);
+  ASSERT_EQ(sims.size(), 2u);
   EXPECT_EQ(sims[0], fleet::SimKind::kStepping);
-  EXPECT_EQ(sims[1], fleet::SimKind::kScheduler);
-  EXPECT_EQ(sims[2], fleet::SimKind::kBatched);
+  EXPECT_EQ(sims[1], fleet::SimKind::kBatched);
+}
+
+TEST(ScenarioSchema, RejectsRemovedSchedulerSim) {
+  // The discrete-event scheduler sim was removed, not aliased: a document
+  // naming it fails with a pointer to the surviving modes.
+  expect_reject(minimal(", \"sims\": [\"scheduler\"]"),
+                "scenario: sim \"scheduler\" was removed; use stepping | "
+                "batched");
+  expect_reject(minimal(", \"sims\": [\"warp\"]"),
+                "scenario: unknown sim \"warp\"");
 }
 
 TEST(ScenarioSchema, EffectiveChecksFollowTheFleetComposition) {
@@ -175,11 +184,11 @@ TEST(ScenarioSchema, IntegrityDomainExcludesBitErrorsAndAutoTorn) {
 TEST(ScenarioSchema, ToFleetCarriesEverySetting) {
   Scenario sc = Scenario::parse(minimal(
       ", \"seed\": 7, \"inferences\": 3, \"batch\": 64", ", \"count\": 5"));
-  const fleet::FleetSpec spec = sc.to_fleet(fleet::SimKind::kScheduler);
+  const fleet::FleetSpec spec = sc.to_fleet(fleet::SimKind::kBatched);
   EXPECT_EQ(spec.seed, 7u);
   EXPECT_EQ(spec.inferences, 3u);
   EXPECT_EQ(spec.batch, 64u);
-  EXPECT_EQ(spec.sim, fleet::SimKind::kScheduler);
+  EXPECT_EQ(spec.sim, fleet::SimKind::kBatched);
   ASSERT_EQ(spec.groups.size(), 1u);
   EXPECT_EQ(spec.groups[0].count, 5u);
 }

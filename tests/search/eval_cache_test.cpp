@@ -2,19 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 
 #include "device/config.hpp"
 #include "nn/dense.hpp"
 #include "search/eval_key.hpp"
 #include "search/vault.hpp"
+#include "support/test_dir.hpp"
 #include "util/rng.hpp"
 
 namespace iprune::search {
 namespace {
-
-namespace fs = std::filesystem;
 
 EvalKey key_of(std::uint64_t a, std::uint64_t b) { return {a, b}; }
 
@@ -152,11 +150,25 @@ TEST(EvalCache, DuplicateInsertKeepsFirstValue) {
   EXPECT_DOUBLE_EQ(cache.lookup(key_of(3, 4))->accuracy, 0.5);
 }
 
+TEST(EvalCache, RacingDuplicateCountsLikeTheSerialRun) {
+  // Two lanes of one batch miss on the same key before either stores it.
+  // Serially the second lookup would hit, and the stats must say so.
+  EvalCache cache;
+  EvalValue value;
+  value.accuracy = 0.5;
+  EXPECT_FALSE(cache.lookup(key_of(5, 6)).has_value());
+  EXPECT_FALSE(cache.lookup(key_of(5, 6)).has_value());
+  cache.insert(key_of(5, 6), value);
+  cache.insert(key_of(5, 6), value);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.inserts, 1u);
+}
+
 TEST(EvalCache, WriteThroughVaultSurvivesReopen) {
-  const std::string dir = ::testing::TempDir() + "/eval_cache_reopen";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string path = dir + "/vault.bin";
+  const test::TestDir tmp;
+  const std::string path = tmp.file("vault.bin");
 
   {
     CacheVault vault;
@@ -179,7 +191,6 @@ TEST(EvalCache, WriteThroughVaultSurvivesReopen) {
   EXPECT_DOUBLE_EQ(hit->accuracy, 0.875);
   EXPECT_DOUBLE_EQ(hit->latency_us, 123.5);
   EXPECT_EQ(hit->checksum, 0xC0FFEEu);
-  fs::remove_all(dir);
 }
 
 }  // namespace

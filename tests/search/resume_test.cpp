@@ -20,6 +20,7 @@
 #include "nn/dense.hpp"
 #include "search/run.hpp"
 #include "search/vault.hpp"
+#include "support/test_dir.hpp"
 #include "util/rng.hpp"
 
 namespace iprune {
@@ -237,14 +238,8 @@ TEST(ArchResume, InterceptCanReplayFromRecordedVerdicts) {
 // End-to-end run_search resume pins.
 
 struct RunSearchResume : ::testing::Test {
-  std::string dir;
-
-  void SetUp() override {
-    dir = ::testing::TempDir() + "/run_search_resume";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
-  void TearDown() override { fs::remove_all(dir); }
+  test::TestDir tmp;
+  std::string dir = tmp.path();
 
   static search::RunConfig small_config() {
     search::RunConfig cfg;

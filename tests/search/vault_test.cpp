@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "support/test_dir.hpp"
+
 namespace iprune::search {
 namespace {
 
@@ -34,14 +36,8 @@ EvalValue value_of(double accuracy, std::uint64_t aux) {
 }
 
 struct VaultTest : ::testing::Test {
-  std::string dir;
-
-  void SetUp() override {
-    dir = ::testing::TempDir() + "/vault_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
-  void TearDown() override { fs::remove_all(dir); }
+  test::TestDir tmp;
+  std::string dir = tmp.path();
 
   std::string vault_path() const { return dir + "/cache.vault"; }
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -18,6 +17,7 @@
 #include "nn/dense.hpp"
 #include "nn/pool.hpp"
 #include "power/supply.hpp"
+#include "support/test_dir.hpp"
 #include "telemetry/trace_export.hpp"
 
 namespace iprune {
@@ -163,14 +163,14 @@ TEST(TraceExport, ChromeTraceJsonIsStructurallyValid) {
 
 TEST(TraceExport, ExportWritesLoadableFile) {
   const TracedRun run = traced_run(power::SupplyPresets::kContinuousW);
-  const std::string path = ::testing::TempDir() + "tiny.trace.json";
+  const test::TestDir tmp;
+  const std::string path = tmp.file("tiny.trace.json");
   ASSERT_TRUE(telemetry::export_chrome_trace(run.sink->events(), path));
   std::ifstream file(path);
   ASSERT_TRUE(file.good());
   std::stringstream content;
   content << file.rdbuf();
   EXPECT_EQ(content.str(), telemetry::chrome_trace_json(run.sink->events()));
-  std::remove(path.c_str());
 }
 
 TEST(TraceExport, BreakdownMatchesEngineAggregates) {

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
+
+#include "support/test_dir.hpp"
 
 namespace iprune::util {
 namespace {
@@ -35,13 +36,13 @@ TEST(Csv, QuotesNewlines) {
 TEST(Csv, SaveWritesFile) {
   CsvWriter csv({"h"});
   csv.row({"1"});
-  const std::string path = ::testing::TempDir() + "iprune_csv_test.csv";
+  const test::TestDir tmp;
+  const std::string path = tmp.file("iprune_csv_test.csv");
   ASSERT_TRUE(csv.save(path));
   std::ifstream in(path);
   const std::string content((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
   EXPECT_EQ(content, "h\n1\n");
-  std::remove(path.c_str());
 }
 
 TEST(Csv, SaveToInvalidPathFails) {
