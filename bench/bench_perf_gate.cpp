@@ -1,8 +1,9 @@
 // bench_perf_gate: the perf-regression gate behind the CI `perf-gate` job.
 //
 // Runs a fixed set of median-of-k timed scenarios — the GEMM micro-kernels
-// (optimized and retained-naive reference), a Conv2d::infer, one
-// end-to-end intermittent inference, and a sensitivity sweep — and writes
+// (optimized and retained-naive reference), a Conv2d::infer, one HAR
+// Conv2d::backward, one end-to-end intermittent inference, and a
+// sensitivity sweep — and writes
 // BENCH_PERF.json (schema util::PerfReport). With --check the report is
 // compared against the checked-in baseline and the process exits nonzero
 // on a regression, a checksum change (the kernels' numerics drifted), or
@@ -160,6 +161,46 @@ PerfEntry time_conv_infer(std::size_t iters) {
   return e;
 }
 
+PerfEntry time_conv_backward_har(std::size_t iters) {
+  // HAR conv2 on one training batch of 32. dOut is masked the way it
+  // reaches the layer in training (ReLU, then a 1x2 max pool), so the
+  // zero-skipping GEMM paths see realistic sparsity. The checksum covers
+  // the weight, bias and input gradients.
+  iprune::util::Rng rng(11);
+  iprune::nn::Conv2d conv(
+      "gate_har_conv2",
+      iprune::nn::Conv2dSpec{.in_channels = 16, .out_channels = 32,
+                             .kernel_h = 1, .kernel_w = 5, .pad_h = 0,
+                             .pad_w = 2},
+      rng);
+  iprune::nn::Tensor input({32, 16, 1, 64});
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    input[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  }
+  const iprune::nn::Tensor* ins[] = {&input};
+  const iprune::nn::Tensor out = conv.forward(ins, /*training=*/true);
+  iprune::nn::Tensor grad(out.shape());
+  for (std::size_t i = 0; i < grad.numel(); ++i) {
+    const bool pool_winner = rng.bernoulli(0.5);
+    grad[i] = out[i] > 0.0f && pool_winner
+                  ? static_cast<float>(rng.normal(0.0, 0.1))
+                  : 0.0f;
+  }
+  conv.zero_grads();
+  const std::vector<iprune::nn::Tensor> grads = conv.backward(grad);
+  Checksum sum;
+  for (const iprune::nn::ParamRef& p : conv.params()) {
+    sum.fold_floats(p.grad->data(), p.grad->numel());
+  }
+  sum.fold_floats(grads[0].data(), grads[0].numel());
+  PerfEntry e;
+  e.name = "conv2d_backward_har";
+  e.iters = iters;
+  e.checksum = sum.value();
+  e.median_ns = median_ns(iters, [&] { (void)conv.backward(grad); });
+  return e;
+}
+
 /// Small conv+dense graph, the shape of the engine test models.
 iprune::nn::Graph make_engine_graph(iprune::util::Rng& rng) {
   namespace nn = iprune::nn;
@@ -289,6 +330,7 @@ PerfReport run_all() {
   report.add(time_gemm("gemm_a_bt_64", iprune::nn::gemm_a_bt, kM, kM, kM,
                        1.0, kMicroIters));
   report.add(time_conv_infer(17));
+  report.add(time_conv_backward_har(17));
   report.add(time_engine_e2e(7));
   report.add(time_sensitivity_sweep(5));
   report.add(

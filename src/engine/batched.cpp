@@ -26,6 +26,14 @@ std::int32_t shift_round_q15(std::int64_t acc) {
   return static_cast<std::int32_t>((acc + 16384) >> 15);
 }
 
+/// psum + contribution with two's-complement wraparound. A corrupted NVM
+/// partial sum can hold any int32, so a plain signed add may overflow (UB);
+/// the unsigned add yields the same bits on every two's-complement target.
+std::int32_t wrap_add_i32(std::int32_t psum, std::int32_t contribution) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(psum) +
+                                   static_cast<std::uint32_t>(contribution));
+}
+
 std::int16_t clamp_i16(long v) {
   if (v > 32767) {
     return 32767;
@@ -519,8 +527,8 @@ bool BatchedEngine::run_gemm_immediate(const LoweredNode& ln) {
                         : dot_gather(raw, ja, bk_actual, w);
               const std::int32_t contribution = shift_round_q15(acc);
               return first ? contribution
-                           : raw_i32(raw, psum_base + psum_off) +
-                                 contribution;
+                           : wrap_add_i32(raw_i32(raw, psum_base + psum_off),
+                                          contribution);
             };
 
             {
@@ -693,9 +701,9 @@ bool BatchedEngine::run_gemm_task(const LoweredNode& ln) {
           }
           const std::size_t r_global = rt * plan.br + r;
           const std::size_t c_global = ct * plan.bc + c;
-          return raw_i32(raw,
-                         psum_base + (r_global * plan.cols + c_global) * 4) +
-                 contribution;
+          return wrap_add_i32(
+              raw_i32(raw, psum_base + (r_global * plan.cols + c_global) * 4),
+              contribution);
         };
 
         std::size_t retries = 0;

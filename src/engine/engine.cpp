@@ -30,6 +30,14 @@ std::int32_t shift_round_q15(std::int64_t acc) {
   return static_cast<std::int32_t>((acc + 16384) >> 15);
 }
 
+/// psum + contribution with two's-complement wraparound. A corrupted NVM
+/// partial sum can hold any int32, so a plain signed add may overflow (UB);
+/// the unsigned add yields the same bits on every two's-complement target.
+std::int32_t wrap_add_i32(std::int32_t psum, std::int32_t contribution) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(psum) +
+                                   static_cast<std::uint32_t>(contribution));
+}
+
 std::int16_t clamp_i16(long v) {
   if (v > 32767) {
     return 32767;
@@ -460,8 +468,9 @@ bool IntermittentEngine::run_gemm_task(const LoweredNode& ln) {
                 (r_global * plan.cols + c_global) * 4;
             tile[idx] =
                 first ? contribution
-                      : nvm.read_i32(psum_slot_addr(ls - 1, psum_off)) +
-                            contribution;
+                      : wrap_add_i32(
+                            nvm.read_i32(psum_slot_addr(ls - 1, psum_off)),
+                            contribution);
             if (!backend_.lea_op(bk_actual)) {
               failed = true;
               active_stats_->reexecuted_jobs += idx + 1;
@@ -643,8 +652,9 @@ bool IntermittentEngine::run_gemm_immediate(const LoweredNode& ln) {
                 (r_global * plan.cols + c_global) * 4;
             const std::int32_t psum_new =
                 first ? contribution
-                      : nvm.read_i32(psum_slot_addr(ls - 1, psum_off)) +
-                            contribution;
+                      : wrap_add_i32(
+                            nvm.read_i32(psum_slot_addr(ls - 1, psum_off)),
+                            contribution);
 
             const std::size_t write_bytes =
                 (last ? 2 : config_.psum_bytes) + config_.counter_bytes;

@@ -85,6 +85,41 @@ void Conv2d::im2col(const float* input, std::size_t in_h, std::size_t in_w,
   }
 }
 
+void Conv2d::im2col_t(const float* input, std::size_t in_h, std::size_t in_w,
+                      float* col_t) const {
+  // col_t is [Ho*Wo, K]: row s is output pixel s's receptive field, in the
+  // same (c, kh, kw) order as a column of im2col's [K, Ho*Wo] matrix.
+  const std::size_t ho = out_h(in_h);
+  const std::size_t wo = out_w(in_w);
+  for (std::size_t oy = 0; oy < ho; ++oy) {
+    for (std::size_t ox = 0; ox < wo; ++ox) {
+      float* row = col_t + (oy * wo + ox) * lowered_k();
+      for (std::size_t c = 0; c < spec_.in_channels; ++c) {
+        const float* in_plane = input + c * in_h * in_w;
+        for (std::size_t kh = 0; kh < spec_.kernel_h; ++kh) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(oy * spec_.stride + kh) -
+              static_cast<std::ptrdiff_t>(spec_.pad_h);
+          const bool row_in =
+              iy >= 0 && iy < static_cast<std::ptrdiff_t>(in_h);
+          const float* in_row =
+              row_in ? in_plane + static_cast<std::size_t>(iy) * in_w
+                     : nullptr;
+          for (std::size_t kw = 0; kw < spec_.kernel_w; ++kw) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * spec_.stride + kw) -
+                static_cast<std::ptrdiff_t>(spec_.pad_w);
+            *row++ = (!row_in || ix < 0 ||
+                      ix >= static_cast<std::ptrdiff_t>(in_w))
+                         ? 0.0f
+                         : in_row[static_cast<std::size_t>(ix)];
+          }
+        }
+      }
+    }
+  }
+}
+
 void Conv2d::col2im(const float* col, std::size_t in_h, std::size_t in_w,
                     float* grad_input) const {
   const std::size_t ho = out_h(in_h);
@@ -169,21 +204,37 @@ std::vector<Tensor> Conv2d::backward(const Tensor& grad_output) {
   const std::size_t wo = out_w(in_w);
   const std::size_t spatial = ho * wo;
   const std::size_t k = lowered_k();
+  const std::size_t cout = spec_.out_channels;
 
+  // Both gradients run through gemm_accumulate, whose zero-skipping path
+  // pays off on ReLU/max-pool-sparse dOut rows and on pruned weights. Per
+  // element, the accumulation sequence is the one ref::gemm_a_bt and
+  // ref::gemm_at_b define (docs/performance.md).
   Tensor grad_input(input.shape());
   auto& pool = util::ScratchPool::local();
-  auto col = pool.acquire<float>(k * spatial);
+  auto col_t = pool.acquire<float>(spatial * k);
   auto grad_col = pool.acquire<float>(k * spatial);
+  auto dw = pool.acquire<float>(cout * k);
+  auto w_t = pool.acquire<float>(k * cout);
+  for (std::size_t co = 0; co < cout; ++co) {
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      w_t[kk * cout + co] = weight_[co * k + kk];
+    }
+  }
   for (std::size_t n = 0; n < batch; ++n) {
-    im2col(input.data() + n * spec_.in_channels * in_h * in_w, in_h, in_w,
-           col.data());
-    const float* grad_mat =
-        grad_output.data() + n * spec_.out_channels * spatial;
-    // dW[Cout,K] += dOut[Cout,S] * col^T[S,K]
-    gemm_a_bt(grad_mat, col.data(), weight_grad_.data(), spec_.out_channels,
-              spatial, k);
+    im2col_t(input.data() + n * spec_.in_channels * in_h * in_w, in_h, in_w,
+             col_t.data());
+    const float* grad_mat = grad_output.data() + n * cout * spatial;
+    // dW[Cout,K] += dOut[Cout,S] * col_t[S,K], as one zero-started
+    // per-sample partial (ascending s) added once, like gemm_a_bt.
+    dw.fill(0.0f);
+    gemm_accumulate(grad_mat, col_t.data(), dw.data(), cout, spatial, k);
+    float* weight_grad = weight_grad_.data();
+    for (std::size_t i = 0; i < cout * k; ++i) {
+      weight_grad[i] += dw[i];
+    }
     // db[Cout] += row sums of dOut
-    for (std::size_t c = 0; c < spec_.out_channels; ++c) {
+    for (std::size_t c = 0; c < cout; ++c) {
       const float* grad_row = grad_mat + c * spatial;
       float acc = 0.0f;
       for (std::size_t s = 0; s < spatial; ++s) {
@@ -191,12 +242,10 @@ std::vector<Tensor> Conv2d::backward(const Tensor& grad_output) {
       }
       bias_grad_[c] += acc;
     }
-    // dcol[K,S] = W^T[K,Cout] * dOut[Cout,S]
+    // dcol[K,S] = W^T[K,Cout] * dOut[Cout,S], ascending Cout from +0.
     grad_col.fill(0.0f);
-    gemm_at_b(weight_.data(), grad_mat, grad_col.data(), k,
-              spec_.out_channels, spatial);
-    col2im(grad_col.data(),
-           in_h, in_w,
+    gemm_accumulate(w_t.data(), grad_mat, grad_col.data(), k, cout, spatial);
+    col2im(grad_col.data(), in_h, in_w,
            grad_input.data() + n * spec_.in_channels * in_h * in_w);
   }
   std::vector<Tensor> grads;

@@ -65,6 +65,10 @@ class Conv2d final : public Layer {
 
   void im2col(const float* input, std::size_t in_h, std::size_t in_w,
               float* col) const;
+  /// im2col lowered S-major: col_t[Ho*Wo, K], the transpose of im2col's
+  /// [K, Ho*Wo], written directly (backward's weight-gradient operand).
+  void im2col_t(const float* input, std::size_t in_h, std::size_t in_w,
+                float* col_t) const;
   void col2im(const float* col, std::size_t in_h, std::size_t in_w,
               float* grad_input) const;
 

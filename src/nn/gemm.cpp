@@ -95,34 +95,66 @@ inline void axpy_row(const float* __restrict b_row, float* __restrict c_row,
   }
 }
 
-/// Dense register-tiled row update: 4 reduction steps per pass share one
-/// load/store of each C element. Each C element still receives its four
-/// contributions as separate rounded adds in ascending-k order, so the
-/// result is bit-identical to four axpy_row calls.
+/// One pass over the C row for four reduction steps: each c_row[j]
+/// receives a0*b0[j], a1*b1[j], a2*b2[j], a3*b3[j] as four separately
+/// rounded adds in that order, so the result is bit-identical to four
+/// axpy_row calls while sharing one load/store of each C element.
+inline void axpy4_row(const float* __restrict b0, const float* __restrict b1,
+                      const float* __restrict b2, const float* __restrict b3,
+                      float* __restrict c_row, float a0, float a1, float a2,
+                      float a3, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    float acc = c_row[j];
+    acc += a0 * b0[j];
+    acc += a1 * b1[j];
+    acc += a2 * b2[j];
+    acc += a3 * b3[j];
+    c_row[j] = acc;
+  }
+}
+
+/// Dense register-tiled row update: every reduction step, zero or not,
+/// four consecutive B rows per pass.
 inline void dense_row_update(const float* __restrict a_row,
                              const float* __restrict b, float* __restrict c_row,
                              std::size_t k, std::size_t n) {
   std::size_t kk = 0;
   for (; kk + 4 <= k; kk += 4) {
-    const float a0 = a_row[kk];
-    const float a1 = a_row[kk + 1];
-    const float a2 = a_row[kk + 2];
-    const float a3 = a_row[kk + 3];
-    const float* __restrict b0 = b + kk * n;
-    const float* __restrict b1 = b0 + n;
-    const float* __restrict b2 = b1 + n;
-    const float* __restrict b3 = b2 + n;
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = c_row[j];
-      acc += a0 * b0[j];
-      acc += a1 * b1[j];
-      acc += a2 * b2[j];
-      acc += a3 * b3[j];
-      c_row[j] = acc;
-    }
+    const float* b0 = b + kk * n;
+    axpy4_row(b0, b0 + n, b0 + 2 * n, b0 + 3 * n, c_row, a_row[kk],
+              a_row[kk + 1], a_row[kk + 2], a_row[kk + 3], n);
   }
   for (; kk < k; ++kk) {
     axpy_row(b + kk * n, c_row, a_row[kk], n);
+  }
+}
+
+/// Zero-skipping register-tiled row update: the row's nonzeros are
+/// collected in ascending k and applied four per pass over the C row; a
+/// remainder of 0-3 goes through axpy_row. The steps applied, and their
+/// order, are exactly ref::gemm_accumulate's (which skips a_ik == 0).
+inline void sparse_row_update(const float* __restrict a_row,
+                              const float* __restrict b,
+                              float* __restrict c_row, std::size_t k,
+                              std::size_t n) {
+  const float* rows[4];
+  float vals[4];
+  std::size_t held = 0;
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float a_ik = a_row[kk];
+    if (a_ik == 0.0f) {
+      continue;  // pruned weights and ReLU/pool-sparse gradients pay here
+    }
+    rows[held] = b + kk * n;
+    vals[held] = a_ik;
+    if (++held == 4) {
+      axpy4_row(rows[0], rows[1], rows[2], rows[3], c_row, vals[0], vals[1],
+                vals[2], vals[3], n);
+      held = 0;
+    }
+  }
+  for (std::size_t r = 0; r < held; ++r) {
+    axpy_row(rows[r], c_row, vals[r], n);
   }
 }
 
@@ -138,14 +170,8 @@ void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
     const std::size_t nnz = count_nonzero(a_row, k);
     if (nnz * kDenseDen >= k * kDenseNum) {
       dense_row_update(a_row, b, c_row, k, n);
-      continue;
-    }
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float a_ik = a_row[kk];
-      if (a_ik == 0.0f) {
-        continue;  // sparse weights after pruning make this branch pay off
-      }
-      axpy_row(b + kk * n, c_row, a_ik, n);
+    } else {
+      sparse_row_update(a_row, b, c_row, k, n);
     }
   }
 }

@@ -11,9 +11,12 @@
 // sparsities, and alignment offsets.
 //
 // Runtime path selection: the kernels count a row's nonzeros once and
-// either skip zero weights block-free (pruned rows) or run a dense fast
-// path that drops the per-element zero branch and register-tiles the
-// reduction (see docs/performance.md).
+// either skip zero weights (pruned rows) or run a dense fast path that
+// drops the per-element zero branch. gemm_accumulate register-tiles both:
+// four reduction steps (four consecutive k, or a sparse row's next four
+// nonzeros in ascending k) share one pass over the C row, and a 0-3 step
+// remainder runs singly. Conv2d::backward lowers both of its GEMMs onto
+// gemm_accumulate (see docs/performance.md).
 
 #include <cstddef>
 

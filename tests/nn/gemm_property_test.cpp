@@ -177,5 +177,54 @@ TEST(GemmProperty, DensityThresholdBoundaryIsExact) {
   }
 }
 
+TEST(GemmProperty, SparseRowsWithEveryRemainderOfFour) {
+  // The sparse path applies a row's nonzeros four per pass over the C row
+  // and hands the last 0-3 to a single-step remainder. Rows with 4q+0 ...
+  // 4q+3 nonzeros at random positions (all below the 3/4 dense threshold)
+  // pin every remainder length, into zero and pre-accumulated C.
+  util::Rng rng(0x4A4D);
+  const std::size_t k = 64;
+  const std::size_t n = 19;
+  std::vector<std::size_t> nnz_per_row;
+  for (const std::size_t q : {0, 1, 2, 5, 11}) {
+    for (std::size_t r = 0; r < 4; ++r) {
+      nnz_per_row.push_back(4 * q + r);
+    }
+  }
+  const std::size_t m = nnz_per_row.size();
+  std::vector<float> a(m * k, 0.0f);
+  for (std::size_t row = 0; row < m; ++row) {
+    std::size_t placed = 0;
+    while (placed < nnz_per_row[row]) {
+      const auto col = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(k) - 1));
+      float& slot = a[row * k + col];
+      if (slot == 0.0f) {
+        slot = static_cast<float>(rng.uniform(-2.0, 2.0));
+        ++placed;
+      }
+    }
+  }
+  const std::vector<float> b = random_matrix(rng, k * n, 0.0);
+  for (const bool nonzero_c : {false, true}) {
+    std::vector<float> c_init(m * n, 0.0f);
+    if (nonzero_c) {
+      for (float& v : c_init) {
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+    }
+    std::vector<float> c_opt = c_init;
+    std::vector<float> c_ref = c_init;
+    gemm_accumulate(a.data(), b.data(), c_opt.data(), m, k, n);
+    ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), m, k, n);
+    for (std::size_t row = 0; row < m; ++row) {
+      ASSERT_EQ(0, std::memcmp(c_opt.data() + row * n,
+                               c_ref.data() + row * n, n * sizeof(float)))
+          << "nnz=" << nnz_per_row[row]
+          << " c0=" << (nonzero_c ? "random" : "zero");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace iprune::nn
